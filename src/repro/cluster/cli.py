@@ -80,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="pnm-cluster",
         help="master secret the per-node keys derive from",
     )
-    serve.add_argument("--workers", type=int, default=0)
     serve.add_argument("--capacity", type=int, default=1024)
 
     smoke = sub.add_parser(
@@ -149,7 +148,6 @@ async def _serve(args: argparse.Namespace) -> int:
             service = SinkIngestService(
                 sink,
                 capacity=args.capacity,
-                workers=args.workers,
                 obs=provider,
             )
 
@@ -172,7 +170,7 @@ async def _serve(args: argparse.Namespace) -> int:
             )
         print(
             f"pnm-cluster: {args.shards} shards up "
-            f"({args.grid_side}x{args.grid_side} grid, workers={args.workers})"
+            f"({args.grid_side}x{args.grid_side} grid, capacity={args.capacity})"
         )
         await asyncio.gather(
             *(server.serve_forever() for server in servers)

@@ -10,10 +10,9 @@ topology, and falling back to the exhaustive search on any miss so verdicts
 are unchanged.
 
 This sweep measures packets/second through a grid deployment with the
-exhaustive resolver for: the plain serial sink, the service with caching
-only, and the service with caching plus a parallel verification pool.  The
-headline number is ``speedup`` relative to the serial sink; the service is
-expected to clear 3x on this workload.
+exhaustive resolver for the plain serial sink and for the cached service.
+The headline number is ``speedup`` relative to the serial sink; the
+service is expected to clear 3x on this workload.
 """
 
 from __future__ import annotations
@@ -91,10 +90,10 @@ def _time_serial(topology, keystore, stream, delivering) -> tuple[float, Traceba
 
 
 def _time_service(
-    topology, keystore, stream, delivering, workers: int
+    topology, keystore, stream, delivering
 ) -> tuple[float, TracebackSink, float]:
     sink = _make_sink(topology, keystore)
-    service = SinkIngestService(sink, capacity=len(stream), workers=workers)
+    service = SinkIngestService(sink, capacity=len(stream))
     try:
         start = time.perf_counter()
         for packet in stream:
@@ -114,6 +113,9 @@ def run(preset: Preset = QUICK) -> FigureResult:
     topology, keystore, stream, delivering = build_workload(grid_side, packets)
 
     serial_s, serial_sink = _time_serial(topology, keystore, stream, delivering)
+    elapsed, sink, hot_rate = _time_service(
+        topology, keystore, stream, delivering
+    )
     rows = [
         [
             "serial-sink",
@@ -122,33 +124,26 @@ def run(preset: Preset = QUICK) -> FigureResult:
             round(packets / serial_s, 1),
             1.0,
             "-",
-        ]
+        ],
+        [
+            "service-cached",
+            packets,
+            round(elapsed, 4),
+            round(packets / elapsed, 1),
+            round(serial_s / elapsed, 2),
+            round(hot_rate, 3),
+        ],
     ]
-    verdicts_match = True
-    for label, workers in (("service-cached", 0), ("service-parallel", 4)):
-        elapsed, sink, hot_rate = _time_service(
-            topology, keystore, stream, delivering, workers
-        )
-        verdicts_match = verdicts_match and sink.verdict() == serial_sink.verdict()
-        rows.append(
-            [
-                label,
-                packets,
-                round(elapsed, 4),
-                round(packets / elapsed, 1),
-                round(serial_s / elapsed, 2),
-                round(hot_rate, 3),
-            ]
-        )
+    verdicts_match = sink.verdict() == serial_sink.verdict()
     notes = [
         f"preset={preset.name}; {grid_side}x{grid_side} grid "
         f"({len(topology.sensor_nodes())} sensor nodes), exhaustive resolver, "
         f"{packets} distinct reports along one {len(stream[0].marks)}-hop route",
-        f"all configurations produced the serial sink's verdict: {verdicts_match}",
+        f"the cached service produced the serial sink's verdict: {verdicts_match}",
     ]
     return FigureResult(
         figure_id="service-sweep",
-        title="Sink ingest throughput: serial vs cached/parallel service",
+        title="Sink ingest throughput: serial sink vs cached service",
         columns=[
             "config",
             "packets",

@@ -2,9 +2,9 @@
 
 A :class:`Span` is one named, timed stage of a packet's life; spans that
 share a ``trace_id`` form one trace, linked by ``parent_id``.  There is
-no ambient "current span" (thread-locals would lie across the service's
-pool workers and the simulator's event callbacks); context moves in one
-of two explicit ways:
+no ambient "current span" (thread-locals would lie across the wire
+server's event loop and the simulator's event callbacks); context moves
+in one of two explicit ways:
 
 * pass a :class:`SpanContext` to :meth:`Tracer.start` as the parent, or
 * bind the context to a *key* -- for packets, the report digest from
@@ -110,7 +110,8 @@ class Tracer:
 
     Ids are deterministic per tracer (``t0000001``/``s0000001``...), so
     equal runs produce identical trace files.  All methods are
-    thread-safe -- the verification pool finishes spans from workers.
+    thread-safe -- one tracer is shared by every layer of a process,
+    whichever thread each layer runs on.
 
     Args:
         clock: time source for spans without explicit timestamps; defaults

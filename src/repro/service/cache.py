@@ -36,6 +36,7 @@ from repro.crypto.keys import KeyStore
 from repro.crypto.mac import MacProvider
 from repro.marking.base import MarkingScheme
 from repro.packets.packet import MarkedPacket
+from repro.traceback.resolver import Resolver
 
 __all__ = ["ResolverCache", "CachingResolver"]
 
@@ -43,10 +44,12 @@ __all__ = ["ResolverCache", "CachingResolver"]
 class ResolverCache:
     """LRU-bounded memoization for the sink's anonymous-ID resolution.
 
-    Thread-safety: all public methods may be called concurrently; table
-    construction happens outside the lock, so two workers racing on the
-    same new report may both build the (identical) table -- wasted work,
-    never wrong results.
+    Thread-safety: all public methods may be called concurrently (the
+    ingest service verifies on one thread while revocation listeners and
+    the fault injector invalidate from others); table construction
+    happens outside the lock, so two threads racing on the same new
+    report may both build the (identical) table -- wasted work, never
+    wrong results.
 
     Args:
         scheme: the deployed marking scheme.
@@ -233,7 +236,7 @@ class CachingResolver:
     resolvers.
     """
 
-    def __init__(self, inner: object, cache: ResolverCache):
+    def __init__(self, inner: Resolver, cache: ResolverCache):
         self.inner = inner
         self.cache = cache
 

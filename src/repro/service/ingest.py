@@ -3,31 +3,33 @@
 Wraps a :class:`~repro.traceback.sink.TracebackSink` with the pipeline a
 production deployment needs::
 
-    submit() ──▶ IngestQueue ──▶ VerificationPool ──▶ sink.ingest()
-                 (backpressure)   (cache-accelerated,  (arrival order,
-                                   optionally parallel) single thread)
+    submit() ──▶ IngestQueue ──▶ PacketVerifier ──▶ sink.ingest()
+                 (backpressure)   (cache-accelerated)  (arrival order)
 
-Verification is the expensive, stateless half of packet processing and
-runs out of line through a :class:`~repro.service.pool.VerificationPool`
-whose verifier shares the sink's scheme/keys but resolves through a
-:class:`~repro.service.cache.ResolverCache`.  Merging results into the
-precedence graph is cheap and stateful and always happens serially in
-arrival order, so the service's verdicts are identical to feeding the
-same stream through ``sink.receive`` one packet at a time.
+Each drained packet is verified and merged in turn on the caller's
+thread.  The verifier shares the sink's scheme/keys but resolves through
+a :class:`~repro.service.cache.ResolverCache`, so the hot-set learns from
+every merge and warms after the first packet of a stream.  Processing
+stays in arrival order, so the service's verdicts are identical to
+feeding the same stream through ``sink.receive`` one packet at a time.
+Verification is pure-Python HMAC under the GIL and cheap per packet
+(Section 4.2), so it runs inline rather than on worker threads.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 
 from repro.isolation.revocation import RevocationList, RevocationRecord
+from repro.obs.instruments import HistogramSeries
 from repro.obs.profiling import NoopObsProvider, ObsProvider, resolve_provider
 from repro.obs.spans import Span, report_key
 from repro.packets.packet import MarkedPacket
 from repro.service.cache import CachingResolver, ResolverCache
-from repro.service.pool import VerificationPool
 from repro.service.queue import DropPolicy, IngestQueue
-from repro.service.stats import LatencyHistogram, ServiceStats
+from repro.service.stats import ServiceStats
+from repro.traceback.resolver import Resolver
 from repro.traceback.sink import TracebackSink, TracebackVerdict
 from repro.traceback.verify import PacketVerification, PacketVerifier
 
@@ -43,8 +45,6 @@ class SinkIngestService:
             :meth:`process_batch`'s merge step, in arrival order.
         capacity: ingest queue bound (see :class:`IngestQueue`).
         drop_policy: what a full queue sheds (see :class:`DropPolicy`).
-        workers: verification pool threads; ``0`` (default) is serial.
-        chunk_size: packets per pool work item.
         enable_cache: memoize resolution tables and keep the marker
             hot-set (see :class:`ResolverCache`).  The hot-set engages
             only when the sink's verifier has its exhaustive fallback (the
@@ -58,6 +58,12 @@ class SinkIngestService:
             counters, a queue-depth gauge, per-packet ``queue`` spans
             (opened at submit, closed when the batch takes the packet),
             and a registry mirror of the verify-latency histogram.
+        workers: must be ``0``.  Verification is always serial; the
+            keyword is kept only for the benchmark harness
+            (``sinkbench/wireload.py``), which still passes ``workers=0``.
+
+    Raises:
+        ValueError: if ``workers`` is not ``0``.
     """
 
     def __init__(
@@ -65,17 +71,22 @@ class SinkIngestService:
         sink: TracebackSink,
         capacity: int = 1024,
         drop_policy: DropPolicy = DropPolicy.DROP_NEWEST,
-        workers: int = 0,
-        chunk_size: int = 32,
         enable_cache: bool = True,
         table_capacity: int = 256,
         hot_capacity: int = 256,
         revocations: RevocationList | None = None,
         obs: ObsProvider | NoopObsProvider | None = None,
+        workers: int = 0,
     ):
+        if workers != 0:
+            raise ValueError(
+                f"workers must be 0 (verification is serial), got {workers}"
+            )
         self.sink = sink
         self.obs = sink.obs if obs is None else resolve_provider(obs)
-        self._open_queue_spans: dict[bytes, Span] = {}
+        # Open ``queue`` spans per report key, oldest first: duplicate
+        # deliveries of one report each get a span, closed in take order.
+        self._open_queue_spans: dict[bytes, deque[Span]] = {}
         base = sink.verifier
         self.cache: ResolverCache | None = (
             ResolverCache(
@@ -91,12 +102,9 @@ class SinkIngestService:
         # The hot-set narrows the search space, which is only sound under
         # the exhaustive-fallback safety net; without it, keep the sink's
         # resolver untouched and use the cache for table memoization only.
-        use_hot_set = self.cache is not None and base.exhaustive_fallback
-        resolver = (
-            CachingResolver(base.resolver, self.cache)
-            if use_hot_set
-            else base.resolver
-        )
+        resolver: Resolver = base.resolver
+        if self.cache is not None and base.exhaustive_fallback:
+            resolver = CachingResolver(base.resolver, self.cache)
         self.verifier = PacketVerifier(
             base.scheme,
             base.keystore,
@@ -111,10 +119,7 @@ class SinkIngestService:
         self.queue: IngestQueue[tuple[MarkedPacket, int]] = IngestQueue(
             capacity=capacity, policy=drop_policy
         )
-        self.pool = VerificationPool(
-            self.verifier, workers=workers, chunk_size=chunk_size
-        )
-        self.verify_latency = LatencyHistogram()
+        self.verify_latency = HistogramSeries()
         self.processed = 0
         self.batches = 0
         self._closed = False
@@ -142,8 +147,8 @@ class SinkIngestService:
         tracer = self.obs.tracer
         if tracer is not None and accepted:
             key = report_key(packet.report)
-            self._open_queue_spans[key] = tracer.chain(
-                key, "queue", depth=self.queue.depth
+            self._open_queue_spans.setdefault(key, deque()).append(
+                tracer.chain(key, "queue", depth=self.queue.depth)
             )
         return accepted
 
@@ -183,8 +188,8 @@ class SinkIngestService:
             depth = self.queue.depth
             for packet in packets:
                 key = report_key(packet.report)
-                self._open_queue_spans[key] = tracer.chain(
-                    key, "queue", depth=depth
+                self._open_queue_spans.setdefault(key, deque()).append(
+                    tracer.chain(key, "queue", depth=depth)
                 )
         return accepted
 
@@ -193,11 +198,7 @@ class SinkIngestService:
     def process_batch(self, max_packets: int | None = None) -> int:
         """Drain up to ``max_packets`` queued packets through verification.
 
-        With pool workers, verification fans out in chunks and the results
-        merge into the sink serially in arrival order afterwards; the
-        cache's hot-set learns newly verified markers between batches,
-        never during one (the pool's thread-safety contract).  Serially
-        (``workers`` 0/1) each packet verifies and merges in turn, so the
+        Each packet verifies and merges in turn, in arrival order, so the
         hot-set warms after the very first packet of a stream.
 
         Returns:
@@ -212,26 +213,8 @@ class SinkIngestService:
             for packet, _ in items:
                 self._close_queue_span(packet)
         start = time.perf_counter()
-        if self.pool.is_parallel:
-            if (
-                self.cache is not None
-                and len(items) > 1
-                and self.cache.hot_ids() is None
-            ):
-                # Cold hot-set: verify the first packet serially so the
-                # rest of the batch fans out with a warm search space.
-                packet, delivering_node = items.pop(0)
-                self._merge(self.verifier.verify(packet), delivering_node)
-            verifications = self.pool.verify_batch(
-                [packet for packet, _ in items]
-            )
-            for (_, delivering_node), verification in zip(
-                items, verifications, strict=True
-            ):
-                self._merge(verification, delivering_node)
-        else:
-            for packet, delivering_node in items:
-                self._merge(self.verifier.verify(packet), delivering_node)
+        for packet, delivering_node in items:
+            self._merge(self.verifier.verify(packet), delivering_node)
         elapsed = time.perf_counter() - start
         self.verify_latency.observe(elapsed / total, times=total)
         self.obs.observe("ingest_verify_seconds", elapsed / total, times=total)
@@ -241,15 +224,20 @@ class SinkIngestService:
         return total
 
     def _close_queue_span(self, packet: MarkedPacket, dropped: bool = False) -> None:
-        """Finish the ``queue`` span opened when ``packet`` was submitted."""
+        """Finish the oldest ``queue`` span still open for ``packet``'s report."""
         tracer = self.obs.tracer
         if tracer is None:
             return
-        span = self._open_queue_spans.pop(report_key(packet.report), None)
-        if span is not None:
-            if dropped:
-                span.attrs["dropped"] = True
-            tracer.finish(span)
+        key = report_key(packet.report)
+        spans = self._open_queue_spans.get(key)
+        if not spans:
+            return
+        span = spans.popleft()
+        if not spans:
+            del self._open_queue_spans[key]
+        if dropped:
+            span.attrs["dropped"] = True
+        tracer.finish(span)
 
     def _merge(
         self, verification: PacketVerification, delivering_node: int
@@ -296,12 +284,11 @@ class SinkIngestService:
             # Spans for packets shed by DROP_OLDEST (or never drained)
             # would otherwise stay open and unrecorded.
             for key in sorted(self._open_queue_spans):
-                span = self._open_queue_spans[key]
-                span.attrs["dropped"] = True
-                tracer.finish(span)
+                for span in self._open_queue_spans[key]:
+                    span.attrs["dropped"] = True
+                    tracer.finish(span)
             self._open_queue_spans.clear()
         self.queue.close()
-        self.pool.shutdown()
         self._closed = True
         return drained
 
@@ -354,7 +341,6 @@ class SinkIngestService:
             dropped=queue_stats["dropped_newest"] + queue_stats["dropped_oldest"],
             processed=self.processed,
             batches=self.batches,
-            workers=self.pool.workers,
             queue=queue_stats,
             cache=self.cache.stats() if self.cache is not None else None,
             verify_latency=self.verify_latency.as_dict(),
@@ -382,6 +368,6 @@ class SinkIngestService:
     def __repr__(self) -> str:
         return (
             f"SinkIngestService(queue={self.queue.depth}/{self.queue.capacity}, "
-            f"processed={self.processed}, workers={self.pool.workers}, "
+            f"processed={self.processed}, "
             f"cache={'on' if self.cache is not None else 'off'})"
         )

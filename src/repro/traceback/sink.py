@@ -271,10 +271,9 @@ class TracebackSink:
         """Fold an already-computed verification into the sink's state.
 
         The batch-safe half of :meth:`receive`: the ingest service
-        (:mod:`repro.service`) verifies packets out of line -- cached
-        and possibly in parallel -- and merges the results here in
-        arrival order.  Calling this with ``verifier.verify(packet)`` is
-        exactly :meth:`receive`.
+        (:mod:`repro.service`) verifies packets with its own cached
+        verifier and merges the results here in arrival order.  Calling
+        this with ``verifier.verify(packet)`` is exactly :meth:`receive`.
 
         Args:
             verification: the outcome of verifying one packet.

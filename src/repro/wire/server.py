@@ -18,10 +18,11 @@ so clients may safely resend the batch verbatim -- the same
 reject-before-submit contract ``WRONG_SHARD`` rejections follow.
 
 Verification runs inline in the event loop, one batch at a time.  That
-is deliberate: the service's own :class:`~repro.service.pool.VerificationPool`
-parallelizes *within* a batch, and the sink's merge step is serial by
-contract anyway, so a second event-loop thread would buy nothing but
-reordering hazards.
+is deliberate: per-packet verification is cheap (Section 4.2: millions of
+hashes per second against tens of suspicious packets per second) and its
+pure-Python HMAC holds the GIL, so worker threads would add no
+throughput, and the sink's merge step is serial by contract anyway -- a
+second thread would buy nothing but reordering hazards.
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ class TestBackpressure:
             sink = make_sink(workload)
             # Capacity below the batch size: every send is shed, so the
             # router must exhaust its retries and surface the error.
-            with SinkIngestService(sink, capacity=2, workers=0) as service:
+            with SinkIngestService(sink, capacity=2) as service:
                 async with SinkServer(
                     service, FMT, retry_after_ms=1
                 ) as server:
@@ -113,9 +113,7 @@ class TestBackpressure:
 
         async def scenario():
             sink = make_sink(workload)
-            with SinkIngestService(
-                sink, capacity=len(packets), workers=0
-            ) as service:
+            with SinkIngestService(sink, capacity=len(packets)) as service:
                 service.submit(packets[0], 1)  # occupy one slot
                 async with SinkServer(
                     service, FMT, retry_after_ms=20

@@ -2,11 +2,11 @@
 
 For any packet stream — arbitrary path lengths, arbitrary per-packet mark
 tampering — feeding the packets through ``SinkIngestService`` (with the
-resolver cache and with or without a parallel verification pool) must
-produce byte-identical results to calling ``TracebackSink.receive``
-serially: same ``TracebackVerdict``, same precedence edge set, same
-per-packet accounting.  This is the contract that makes the service a
-drop-in replacement rather than an approximation.
+resolver cache, drained in batches of any size) must produce
+byte-identical results to calling ``TracebackSink.receive`` serially:
+same ``TracebackVerdict``, same precedence edge set, same per-packet
+accounting.  This is the contract that makes the service a drop-in
+replacement rather than an approximation.
 """
 
 from hypothesis import given, settings
@@ -64,10 +64,20 @@ def packet_streams(draw):
     return topology, store, packets, n_forwarders
 
 
+def assert_matches_serial(sink, serial, verdict):
+    assert verdict == serial.verdict()
+    assert set(sink.precedence.to_networkx().edges) == set(
+        serial.precedence.to_networkx().edges
+    )
+    assert sink.packets_received == serial.packets_received
+    assert sink.tampered_packets == serial.tampered_packets
+    assert sink.chains_with_marks == serial.chains_with_marks
+
+
 class TestServiceEquivalence:
-    @given(scenario=packet_streams(), workers=st.sampled_from([0, 2]))
+    @given(scenario=packet_streams())
     @settings(max_examples=25, deadline=None)
-    def test_service_matches_serial_sink(self, scenario, workers):
+    def test_service_matches_serial_sink(self, scenario):
         topology, store, packets, n_forwarders = scenario
         delivering = n_forwarders
 
@@ -76,9 +86,7 @@ class TestServiceEquivalence:
             serial.receive(packet, delivering)
 
         sink = TracebackSink(SCHEME, store, PROVIDER, topology)
-        service = SinkIngestService(
-            sink, capacity=len(packets), workers=workers, chunk_size=2
-        )
+        service = SinkIngestService(sink, capacity=len(packets))
         try:
             for packet in packets:
                 assert service.submit(packet, delivering)
@@ -86,11 +94,50 @@ class TestServiceEquivalence:
         finally:
             service.close()
 
-        assert verdict == serial.verdict()
-        assert set(sink.precedence.to_networkx().edges) == set(
-            serial.precedence.to_networkx().edges
-        )
-        assert sink.packets_received == serial.packets_received
-        assert sink.tampered_packets == serial.tampered_packets
-        assert sink.chains_with_marks == serial.chains_with_marks
+        assert_matches_serial(sink, serial, verdict)
         assert service.stats().processed == len(packets)
+
+    @given(
+        scenario=packet_streams(),
+        batch=st.integers(min_value=1, max_value=9),
+        interleave=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_batch_boundaries_match_serial_sink(
+        self, scenario, batch, interleave
+    ):
+        """Draining via ``process_batch(max_packets=k)`` for any ``k``.
+
+        With ``interleave`` a batch drains after every submit, so batches
+        straddle the arrival stream; otherwise the whole stream queues
+        first and drains in ``k``-sized slices.
+        """
+        topology, store, packets, n_forwarders = scenario
+        delivering = n_forwarders
+
+        serial = TracebackSink(SCHEME, store, PROVIDER, topology)
+        for packet in packets:
+            serial.receive(packet, delivering)
+
+        sink = TracebackSink(SCHEME, store, PROVIDER, topology)
+        service = SinkIngestService(sink, capacity=len(packets))
+        batches = 0
+        try:
+            for packet in packets:
+                assert service.submit(packet, delivering)
+                if interleave and service.process_batch(max_packets=batch):
+                    batches += 1
+            while service.process_batch(max_packets=batch):
+                batches += 1
+            stats = service.stats()
+            verdict = sink.verdict()
+        finally:
+            service.close()
+
+        assert_matches_serial(sink, serial, verdict)
+        assert stats.processed == stats.accepted == len(packets)
+        assert stats.batches == batches
+        assert stats.queue["taken"] == len(packets)
+        assert stats.verify_latency["count"] == len(packets)
+        if not interleave:
+            assert batches == -(-len(packets) // batch)

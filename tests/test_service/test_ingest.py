@@ -10,6 +10,7 @@ from repro.crypto.mac import HmacProvider
 from repro.isolation import RevocationList
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import linear_path_topology
+from repro.obs import ObsProvider, Tracer
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
 from repro.routing.tree import build_routing_tree
@@ -59,8 +60,7 @@ def make_sink(deployment):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_verdicts_match_serial_sink(self, deployment, workers):
+    def test_verdicts_match_serial_sink(self, deployment):
         packets = stream(deployment[1], 12, tamper_indices={3, 7})
         delivering = N_FORWARDERS
 
@@ -69,7 +69,7 @@ class TestEquivalence:
             serial.receive(packet, delivering)
 
         sink = make_sink(deployment)
-        service = SinkIngestService(sink, capacity=64, workers=workers)
+        service = SinkIngestService(sink, capacity=64)
         try:
             for packet in packets:
                 assert service.submit(packet, delivering)
@@ -163,6 +163,14 @@ class TestLifecycle:
         assert service.close(drain=False) == 0
         assert service.sink.packets_received == 0
 
+    def test_only_serial_workers_accepted(self, deployment):
+        # ``workers=0`` is the one value still accepted, for callers
+        # written against the old signature; verification is serial.
+        SinkIngestService(make_sink(deployment), workers=0).close()
+        for workers in (1, 2, -1):
+            with pytest.raises(ValueError, match="workers"):
+                SinkIngestService(make_sink(deployment), workers=workers)
+
     def test_close_twice_is_noop(self, deployment):
         service = SinkIngestService(make_sink(deployment))
         assert service.close() == 0
@@ -188,7 +196,8 @@ class TestObservability:
         assert payload["queue"]["capacity"] == 8
         assert payload["cache"]["hot_size"] == N_FORWARDERS
         assert payload["verify_latency"]["count"] == 4
-        assert payload["verify_latency"]["mean_s"] > 0
+        assert payload["verify_latency"]["mean"] > 0
+        assert "workers" not in payload
 
     def test_latency_histogram_percentiles(self, deployment):
         service = SinkIngestService(make_sink(deployment))
@@ -198,6 +207,29 @@ class TestObservability:
         latency = service.verify_latency
         assert latency.count == 6
         assert 0 < latency.quantile(0.5) <= latency.quantile(0.99)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_duplicate_report_keeps_both_queue_spans(self, deployment, batched):
+        # Retransmissions deliver one report twice; each delivery's
+        # queue span must finish, not just the last one submitted.
+        tracer = Tracer()
+        service = SinkIngestService(
+            make_sink(deployment), obs=ObsProvider(tracer=tracer)
+        )
+        packet = stream(deployment[1], 1)[0]
+        if batched:
+            assert service.submit_batch([packet, packet], N_FORWARDERS)
+        else:
+            assert service.submit(packet, N_FORWARDERS)
+            assert service.submit(packet, N_FORWARDERS)
+        assert service.process_batch(max_packets=1) == 1
+        assert service.flush() == 1
+        service.close()
+        queue_spans = [s for s in tracer.finished if s.name == "queue"]
+        assert len(queue_spans) == 2
+        assert not any(s.attrs.get("dropped") for s in queue_spans)
+        # Closed in take order: the first delivery's span finishes first.
+        assert queue_spans[0].start <= queue_spans[1].start
 
 
 class TestRevocationInvalidation:

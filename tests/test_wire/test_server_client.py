@@ -42,7 +42,7 @@ def make_service(workload, capacity: int | None = None) -> SinkIngestService:
         PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
     )
     return SinkIngestService(
-        sink, capacity=len(stream) if capacity is None else capacity, workers=0
+        sink, capacity=len(stream) if capacity is None else capacity
     )
 
 
