@@ -13,7 +13,7 @@ lint:
 	python -m repro.lint src/repro
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	pytest benchmarks/
 
 # Gate the recorded benchmark ratios against benchmarks/baseline.json
 # (>20% drift fails).  Needs the BENCH_*.json files a bench run leaves.

@@ -165,4 +165,4 @@ class TestBenchAlgebraic:
 
 
 if __name__ == "__main__":
-    pytest.main([__file__, "--benchmark-only", "-v"])
+    pytest.main([__file__, "-v"])

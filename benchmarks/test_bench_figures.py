@@ -1,7 +1,7 @@
 """One benchmark per evaluation figure (Figures 4-7).
 
 Each run regenerates the figure's rows and asserts the paper's reported
-shape, so ``pytest benchmarks/ --benchmark-only`` both times the harness
+shape, so ``pytest benchmarks/`` both times the harness
 and re-checks the reproduction.
 """
 

@@ -188,4 +188,4 @@ class TestBenchWatchdog:
 
 
 if __name__ == "__main__":
-    pytest.main([__file__, "--benchmark-only", "-v"])
+    pytest.main([__file__, "-v"])

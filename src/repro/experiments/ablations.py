@@ -163,7 +163,7 @@ def resolver_ablation(preset: Preset = QUICK, n: int = 20) -> FigureResult:
         "resolver",
         "radius",
         "outcome",
-        "exhaustive_fallbacks",
+        "fallback_searches",
         "candidate_checks_per_mark",
     ]
     rows = []

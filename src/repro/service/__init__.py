@@ -5,8 +5,8 @@ millions of hashes per second against tens of suspicious packets per
 second.  This package turns that arithmetic into an actual service in
 front of :class:`~repro.traceback.sink.TracebackSink`:
 
-* :class:`IngestQueue` -- bounded intake with an explicit drop policy and
-  exact backpressure counters;
+* :class:`IngestQueue` -- bounded intake with all-or-nothing tail-drop
+  admission and exact backpressure counters;
 * :class:`ResolverCache` / :class:`CachingResolver` -- memoized resolution
   tables plus a hot-set of recent markers, collapsing the exhaustive
   ``O(N)``-hash search to near topology-bounded cost on steady traffic;
@@ -21,13 +21,12 @@ See ``docs/service.md`` for the architecture and contracts.
 
 from repro.service.cache import CachingResolver, ResolverCache
 from repro.service.ingest import SinkIngestService
-from repro.service.queue import DropPolicy, IngestQueue
+from repro.service.queue import IngestQueue
 from repro.service.stats import ServiceStats
 
 __all__ = [
     "SinkIngestService",
     "IngestQueue",
-    "DropPolicy",
     "ResolverCache",
     "CachingResolver",
     "ServiceStats",

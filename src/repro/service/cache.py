@@ -80,7 +80,7 @@ class ResolverCache:
         self._hot: OrderedDict[int, None] = OrderedDict()  # guarded-by: _lock
         self._hot_snapshot: list[int] | None = None  # guarded-by: _lock
         self._lock = threading.Lock()
-        # Counters (read without the lock for display only).
+        # Counters; stats() reads them all in one critical section.
         self.table_hits = 0  # guarded-by: _lock
         self.table_misses = 0  # guarded-by: _lock
         self.table_evictions = 0  # guarded-by: _lock
@@ -178,29 +178,27 @@ class ResolverCache:
             self._hot_snapshot = None
 
     def stats(self) -> dict[str, Any]:
-        """The cache's counters as a JSON-ready dict."""
+        """The cache's counters as a JSON-ready dict, read atomically."""
         with self._lock:
-            tables = len(self._tables)
-            hot = len(self._hot)
-        lookups = self.table_hits + self.table_misses
-        return {
-            "table_capacity": self.table_capacity,
-            "tables_cached": tables,
-            "table_hits": self.table_hits,
-            "table_misses": self.table_misses,
-            "table_evictions": self.table_evictions,
-            "table_hit_rate": self.table_hits / lookups if lookups else 0.0,
-            "hot_capacity": self.hot_capacity,
-            "hot_size": hot,
-            "hot_searches": self.hot_searches,
-            "hot_misses": self.hot_misses,
-            "hot_hit_rate": (
-                1.0 - self.hot_misses / self.hot_searches
-                if self.hot_searches
-                else 0.0
-            ),
-            "invalidations": self.invalidations,
-        }
+            lookups = self.table_hits + self.table_misses
+            return {
+                "table_capacity": self.table_capacity,
+                "tables_cached": len(self._tables),
+                "table_hits": self.table_hits,
+                "table_misses": self.table_misses,
+                "table_evictions": self.table_evictions,
+                "table_hit_rate": self.table_hits / lookups if lookups else 0.0,
+                "hot_capacity": self.hot_capacity,
+                "hot_size": len(self._hot),
+                "hot_searches": self.hot_searches,
+                "hot_misses": self.hot_misses,
+                "hot_hit_rate": (
+                    1.0 - self.hot_misses / self.hot_searches
+                    if self.hot_searches
+                    else 0.0
+                ),
+                "invalidations": self.invalidations,
+            }
 
     def publish(self, obs: Any) -> None:
         """Mirror the cache counters into an obs provider's registry.
@@ -227,9 +225,9 @@ class CachingResolver:
     Wraps an inner resolver: bounded inner searches pass through
     untouched; when the inner resolver would search exhaustively (returns
     ``None``) and the hot-set is non-empty, the hot-set is offered
-    instead.  Requires the verifier's ``exhaustive_fallback`` so a cold
-    hot-set can never change verification results -- the same contract
-    topology-bounded search already relies on.
+    instead.  The verifier's exhaustive fallback retries every mark the
+    hot-set misses, so a cold hot-set can never change verification
+    results -- the same contract topology-bounded search relies on.
 
     ``notify_miss`` feedback is attributed to the hot-set (the common case
     with an exhaustive inner resolver) and forwarded to adaptive inner

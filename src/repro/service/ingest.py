@@ -27,9 +27,8 @@ from repro.obs.profiling import NoopObsProvider, ObsProvider, resolve_provider
 from repro.obs.spans import Span, report_key
 from repro.packets.packet import MarkedPacket
 from repro.service.cache import CachingResolver, ResolverCache
-from repro.service.queue import DropPolicy, IngestQueue
+from repro.service.queue import IngestQueue
 from repro.service.stats import ServiceStats
-from repro.traceback.resolver import Resolver
 from repro.traceback.sink import TracebackSink, TracebackVerdict
 from repro.traceback.verify import PacketVerification, PacketVerifier
 
@@ -44,13 +43,10 @@ class SinkIngestService:
             resolver are reused; the sink itself is only ever touched from
             :meth:`process_batch`'s merge step, in arrival order.
         capacity: ingest queue bound (see :class:`IngestQueue`).
-        drop_policy: what a full queue sheds (see :class:`DropPolicy`).
-        enable_cache: memoize resolution tables and keep the marker
-            hot-set (see :class:`ResolverCache`).  The hot-set engages
-            only when the sink's verifier has its exhaustive fallback (the
-            default), which is what keeps cached verdicts identical to
-            serial ones.
-        table_capacity / hot_capacity: cache bounds.
+        table_capacity / hot_capacity: bounds of the
+            :class:`ResolverCache` that memoizes resolution tables and
+            keeps the marker hot-set.  The verifier's exhaustive fallback
+            keeps cached verdicts identical to serial ones.
         revocations: when given, the service subscribes to it and
             invalidates cached state for every newly revoked node.
         obs: observability provider; ``None`` inherits the sink's, so the
@@ -70,8 +66,6 @@ class SinkIngestService:
         self,
         sink: TracebackSink,
         capacity: int = 1024,
-        drop_policy: DropPolicy = DropPolicy.DROP_NEWEST,
-        enable_cache: bool = True,
         table_capacity: int = 256,
         hot_capacity: int = 256,
         revocations: RevocationList | None = None,
@@ -88,36 +82,25 @@ class SinkIngestService:
         # deliveries of one report each get a span, closed in take order.
         self._open_queue_spans: dict[bytes, deque[Span]] = {}
         base = sink.verifier
-        self.cache: ResolverCache | None = (
-            ResolverCache(
-                base.scheme,
-                base.keystore,
-                base.provider,
-                table_capacity=table_capacity,
-                hot_capacity=hot_capacity,
-            )
-            if enable_cache
-            else None
+        self.cache = ResolverCache(
+            base.scheme,
+            base.keystore,
+            base.provider,
+            table_capacity=table_capacity,
+            hot_capacity=hot_capacity,
         )
-        # The hot-set narrows the search space, which is only sound under
-        # the exhaustive-fallback safety net; without it, keep the sink's
-        # resolver untouched and use the cache for table memoization only.
-        resolver: Resolver = base.resolver
-        if self.cache is not None and base.exhaustive_fallback:
-            resolver = CachingResolver(base.resolver, self.cache)
+        # The hot-set narrows the search space; the verifier's exhaustive
+        # fallback keeps a hot-set miss from changing any result.
         self.verifier = PacketVerifier(
             base.scheme,
             base.keystore,
             base.provider,
-            resolver=resolver,
-            exhaustive_fallback=base.exhaustive_fallback,
-            table_factory=(
-                self.cache.resolution_table if self.cache is not None else None
-            ),
+            resolver=CachingResolver(base.resolver, self.cache),
+            table_factory=self.cache.resolution_table,
             obs=self.obs,
         )
         self.queue: IngestQueue[tuple[MarkedPacket, int]] = IngestQueue(
-            capacity=capacity, policy=drop_policy
+            capacity=capacity
         )
         self.verify_latency = HistogramSeries()
         self.processed = 0
@@ -129,7 +112,7 @@ class SinkIngestService:
     # Intake ------------------------------------------------------------------
 
     def submit(self, packet: MarkedPacket, delivering_node: int) -> bool:
-        """Offer one suspicious packet to the pipeline.
+        """Offer one suspicious packet: :meth:`submit_batch` of one.
 
         Returns:
             True if the packet was queued; False if backpressure shed it.
@@ -137,20 +120,7 @@ class SinkIngestService:
         Raises:
             RuntimeError: if the service has been closed.
         """
-        if self._closed:
-            raise RuntimeError("cannot submit to a closed SinkIngestService")
-        accepted = self.queue.offer((packet, delivering_node))
-        self.obs.inc("ingest_submitted_total")
-        if not accepted:
-            self.obs.inc("ingest_dropped_total")
-        self.obs.set_gauge("ingest_queue_depth", self.queue.depth)
-        tracer = self.obs.tracer
-        if tracer is not None and accepted:
-            key = report_key(packet.report)
-            self._open_queue_spans.setdefault(key, deque()).append(
-                tracer.chain(key, "queue", depth=self.queue.depth)
-            )
-        return accepted
+        return self.submit_batch((packet,), delivering_node)
 
     def submit_batch(
         self,
@@ -159,13 +129,12 @@ class SinkIngestService:
     ) -> bool:
         """Offer a whole batch atomically: every packet queues, or none do.
 
-        The transactional form of :meth:`submit` for senders that retry
-        rejected batches wholesale (the wire server's BACKPRESSURE reply
-        triggers exactly that).  Per-packet submission would leave the
-        accepted prefix queued when the tail is shed, so the sender's
-        resend would ingest those packets twice; here a False return
-        guarantees the queue took nothing (see
-        :meth:`IngestQueue.offer_all`), making the retry safe.
+        Senders retry rejected batches wholesale (the wire server's
+        BACKPRESSURE reply triggers exactly that).  Admitting an accepted
+        prefix would make the resend ingest those packets twice; here a
+        False return guarantees the queue took nothing (see
+        :meth:`IngestQueue.offer_all`), making the retry safe.  Each
+        accepted packet opens one ``queue`` span; a shed batch opens none.
 
         Returns:
             True if every packet was queued; False if backpressure shed
@@ -244,7 +213,7 @@ class SinkIngestService:
     ) -> None:
         """Fold one verification into the sink and teach the hot-set."""
         self.sink.ingest(verification, delivering_node)
-        if self.cache is not None and verification.chain_ids:
+        if verification.chain_ids:
             self.cache.touch(verification.chain_ids)
 
     def flush(self) -> int:
@@ -281,8 +250,8 @@ class SinkIngestService:
                 self._close_queue_span(packet, dropped=True)
         tracer = self.obs.tracer
         if tracer is not None:
-            # Spans for packets shed by DROP_OLDEST (or never drained)
-            # would otherwise stay open and unrecorded.
+            # Spans for packets never drained would otherwise stay open
+            # and unrecorded.
             for key in sorted(self._open_queue_spans):
                 for span in self._open_queue_spans[key]:
                     span.attrs["dropped"] = True
@@ -309,10 +278,8 @@ class SinkIngestService:
         subscribed revocation log) and node death (the fault injector,
         :mod:`repro.faults` -- a crashed node's packets stop mid-stream
         and its memoized tables and hot-set slot must not linger).
-        No-op when caching is disabled.
         """
-        if self.cache is not None:
-            self.cache.invalidate_node(node_id)
+        self.cache.invalidate_node(node_id)
 
     def invalidate_all(self) -> None:
         """Purge every memoized table and the whole marker hot-set.
@@ -321,11 +288,9 @@ class SinkIngestService:
         cluster shard's key range changes (a peer died or joined), the
         routes it will see shift wholesale and per-node purges would have
         to enumerate the world.  Verification correctness never depends
-        on the cache, so the only cost is re-warming.  No-op when caching
-        is disabled.
+        on the cache, so the only cost is re-warming.
         """
-        if self.cache is not None:
-            self.cache.clear()
+        self.cache.clear()
 
     # Observability -----------------------------------------------------------
 
@@ -338,11 +303,11 @@ class SinkIngestService:
         return ServiceStats(
             submitted=queue_stats["offered"],
             accepted=queue_stats["accepted"],
-            dropped=queue_stats["dropped_newest"] + queue_stats["dropped_oldest"],
+            dropped=queue_stats["dropped"],
             processed=self.processed,
             batches=self.batches,
             queue=queue_stats,
-            cache=self.cache.stats() if self.cache is not None else None,
+            cache=self.cache.stats(),
             verify_latency=self.verify_latency.as_dict(),
         )
 
@@ -362,12 +327,10 @@ class SinkIngestService:
             value = queue_stats[name]
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 self.obs.set_gauge(f"ingest_queue_{name}", value)
-        if self.cache is not None:
-            self.cache.publish(self.obs)
+        self.cache.publish(self.obs)
 
     def __repr__(self) -> str:
         return (
             f"SinkIngestService(queue={self.queue.depth}/{self.queue.capacity}, "
-            f"processed={self.processed}, "
-            f"cache={'on' if self.cache is not None else 'off'})"
+            f"processed={self.processed})"
         )

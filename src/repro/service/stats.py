@@ -24,11 +24,11 @@ class ServiceStats:
     Attributes:
         submitted: packets offered to the service.
         accepted: packets that entered the queue.
-        dropped: packets shed by backpressure (any policy).
+        dropped: packets shed by backpressure.
         processed: packets verified and merged into the sink.
         batches: number of verification batches executed.
         queue: the ingest queue's counters.
-        cache: the resolver cache's counters (``None`` when disabled).
+        cache: the resolver cache's counters.
         verify_latency: per-packet verification latency summary in
             seconds (:meth:`repro.obs.HistogramSeries.as_dict`).
     """
@@ -39,7 +39,7 @@ class ServiceStats:
     processed: int
     batches: int
     queue: dict[str, Any]
-    cache: dict[str, Any] | None
+    cache: dict[str, Any]
     verify_latency: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:

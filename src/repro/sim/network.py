@@ -65,8 +65,6 @@ class NetworkSimulation:
             ``sink.receive`` inline, and :meth:`run` flushes the pipeline
             after the event queue drains so the sink's verdict reflects
             every delivered packet.
-        repair: retry/backoff policy for dead-next-hop detection; the
-            default :class:`~repro.routing.repair.RepairPolicy` applies.
         obs: observability provider; ``None`` resolves to the process
             default.  :meth:`run` publishes the run's metrics summary into
             its registry once the event queue drains; per-packet spans
@@ -93,7 +91,6 @@ class NetworkSimulation:
         suspicious: Callable[[MarkedPacket], bool] | None = None,
         tracer: PacketTracer | None = None,
         ingest: object | None = None,
-        repair: RepairPolicy | None = None,
         obs: ObsProvider | NoopObsProvider | None = None,
         watchdog: object | None = None,
     ):
@@ -111,7 +108,7 @@ class NetworkSimulation:
         self.tracer = tracer
         self.ingest = ingest
         self.obs = resolve_provider(obs)
-        self.repair_policy = repair if repair is not None else RepairPolicy()
+        self.repair_policy = RepairPolicy()
         self.watchdog = watchdog
         if watchdog is not None:
             watchdog.attach(self)

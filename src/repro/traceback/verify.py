@@ -101,9 +101,9 @@ class PacketVerifier:
         keystore: the sink's ``node ID -> key`` table.
         provider: MAC provider matching the one nodes used.
         resolver: anonymous-ID search strategy; defaults to exhaustive.
-        exhaustive_fallback: when a bounded resolver finds no validating
-            candidate, retry with the full key table (recommended: bounded
-            search is an optimization and must not change results).
+            When a bounded search finds no validating candidate, the mark
+            is retried against the full key table: bounded search is an
+            optimization and must not change results.
         table_factory: optional ``packet -> resolution table`` hook used
             for exhaustive searches instead of building the table inline.
             Lets an ingest service memoize tables across packets (see
@@ -123,7 +123,6 @@ class PacketVerifier:
         keystore: KeyStore,
         provider: MacProvider,
         resolver: Resolver | None = None,
-        exhaustive_fallback: bool = True,
         table_factory: Callable[[MarkedPacket], object | None] | None = None,
         obs: ObsProvider | NoopObsProvider | None = None,
     ):
@@ -131,7 +130,6 @@ class PacketVerifier:
         self.keystore = keystore
         self.provider = provider
         self.resolver = resolver if resolver is not None else ExhaustiveResolver()
-        self.exhaustive_fallback = exhaustive_fallback
         self.table_factory = table_factory
         self.obs = resolve_provider(obs)
 
@@ -222,7 +220,7 @@ class PacketVerifier:
         """
         table = self._table_for(packet, search, tables)
         valid = self._validate_within(packet, index, search, table)
-        if search is None or valid or not self.exhaustive_fallback:
+        if search is None or valid:
             return valid, False
         valid = self._validate_within(
             packet, index, None, self._table_for(packet, None, tables)

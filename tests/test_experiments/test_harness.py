@@ -129,7 +129,7 @@ class TestAblations:
         fallbacks = dict(
             zip(
                 zip(result.column("resolver"), result.column("radius")),
-                result.column("exhaustive_fallbacks"),
+                result.column("fallback_searches"),
             )
         )
         assert fallbacks[("exhaustive", "-")] == 0

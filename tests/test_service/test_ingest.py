@@ -14,7 +14,7 @@ from repro.obs import ObsProvider, Tracer
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
 from repro.routing.tree import build_routing_tree
-from repro.service import DropPolicy, SinkIngestService
+from repro.service import SinkIngestService
 from repro.sim.behaviors import HonestForwarder
 from repro.sim.network import NetworkSimulation
 from repro.sim.sources import BogusReportSource
@@ -83,17 +83,6 @@ class TestEquivalence:
         assert sink.tampered_packets == serial.tampered_packets
         assert sink.chains_with_marks == serial.chains_with_marks
 
-    def test_cache_disabled_still_matches(self, deployment):
-        packets = stream(deployment[1], 6)
-        serial = make_sink(deployment)
-        sink = make_sink(deployment)
-        service = SinkIngestService(sink, enable_cache=False)
-        for packet in packets:
-            serial.receive(packet, N_FORWARDERS)
-            service.submit(packet, N_FORWARDERS)
-        assert service.verdict() == serial.verdict()
-        assert service.cache is None
-
     def test_cache_actually_engages(self, deployment):
         packets = stream(deployment[1], 8)
         service = SinkIngestService(make_sink(deployment))
@@ -116,23 +105,11 @@ class TestBackpressure:
         assert outcomes == [True] * 3 + [False] * 5
         stats = service.stats()
         assert stats.dropped == 5
-        assert stats.queue["dropped_newest"] == 5
+        assert stats.queue["dropped"] == 5
         assert service.flush() == 3
         assert service.sink.packets_received == 3
         # The three oldest packets survived (arrival order preserved).
         assert service.sink.packets_received == service.stats().processed
-
-    def test_drop_oldest_keeps_freshest(self, deployment):
-        service = SinkIngestService(
-            make_sink(deployment),
-            capacity=3,
-            drop_policy=DropPolicy.DROP_OLDEST,
-        )
-        packets = stream(deployment[1], 8)
-        assert all(service.submit(p, N_FORWARDERS) for p in packets)
-        stats = service.stats()
-        assert stats.queue["dropped_oldest"] == 5
-        assert service.flush() == 3
 
     def test_queue_depth_visible_in_stats(self, deployment):
         service = SinkIngestService(make_sink(deployment), capacity=10)
@@ -231,6 +208,45 @@ class TestObservability:
         # Closed in take order: the first delivery's span finishes first.
         assert queue_spans[0].start <= queue_spans[1].start
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_shed_delivery_opens_no_queue_span(self, deployment, batched):
+        # A delivery shed at admission never enters the queue, so it must
+        # leave no queue span behind -- not even one closed as dropped.
+        tracer = Tracer()
+        service = SinkIngestService(
+            make_sink(deployment), capacity=1, obs=ObsProvider(tracer=tracer)
+        )
+        packet = stream(deployment[1], 1)[0]
+        assert not service.submit_batch([packet, packet], N_FORWARDERS)
+        assert service.submit(packet, N_FORWARDERS)
+        if batched:
+            assert not service.submit_batch([packet], N_FORWARDERS)
+        else:
+            assert not service.submit(packet, N_FORWARDERS)
+        assert service.flush() == 1
+        service.close()
+        queue_spans = [s for s in tracer.finished if s.name == "queue"]
+        assert len(queue_spans) == 1
+        assert not queue_spans[0].attrs.get("dropped")
+
+    def test_one_queue_span_per_accepted_delivery(self, deployment):
+        # The same report delivered twice, with a shed delivery between:
+        # each accepted delivery's span finishes as processed, and the
+        # shed one adds none.
+        tracer = Tracer()
+        service = SinkIngestService(
+            make_sink(deployment), capacity=1, obs=ObsProvider(tracer=tracer)
+        )
+        packet = stream(deployment[1], 1)[0]
+        assert service.submit(packet, N_FORWARDERS)
+        assert not service.submit(packet, N_FORWARDERS)
+        assert service.flush() == 1
+        assert service.submit(packet, N_FORWARDERS)
+        service.close()
+        queue_spans = [s for s in tracer.finished if s.name == "queue"]
+        assert len(queue_spans) == service.stats().accepted == 2
+        assert not any(s.attrs.get("dropped") for s in queue_spans)
+
 
 class TestRevocationInvalidation:
     def test_revoking_a_node_purges_cached_state(self, deployment):
@@ -263,11 +279,6 @@ class TestFaultInvalidation:
         assert service.cache.stats()["tables_cached"] == 0
         assert service.cache.invalidations == 1
         assert service.stats().cache["invalidations"] == 1
-
-    def test_invalidate_node_without_cache_is_noop(self, deployment):
-        service = SinkIngestService(make_sink(deployment), enable_cache=False)
-        service.invalidate_node(3)  # no raise
-        assert service.cache is None
 
     def test_crash_mid_stream_keeps_verdict_equal_to_serial(self, deployment):
         """Regression: a node crashing mid-run (fault injector calls

@@ -86,22 +86,6 @@ class TestAnonymousResolution:
         assert result.chain_ids == [3, 9]
         assert result.fallback_searches >= 1
 
-    def test_bounded_resolver_without_fallback_misses(
-        self, keystore, provider, packet
-    ):
-        from repro.net.topology import linear_path_topology
-        from repro.traceback.resolver import TopologyBoundedResolver
-
-        scheme = PNMMarking(mark_prob=1.0)
-        topo, _source = linear_path_topology(12)
-        marked = mark_through_path(scheme, keystore, provider, [3], packet)
-        resolver = TopologyBoundedResolver(topo, radius=1)
-        verifier = PacketVerifier(
-            scheme, keystore, provider, resolver, exhaustive_fallback=False
-        )
-        result = verifier.verify(marked)
-        assert result.chain_ids == []  # missed: ball around sink is {0, 12, 11}
-
     def test_resolution_table_cached_across_marks(
         self, keystore, provider, packet, monkeypatch
     ):
