@@ -65,9 +65,7 @@ def run_in_process(workload) -> TracebackSink:
 def run_wire(workload) -> TracebackSink:
     fmt = PNMMarking(mark_prob=1.0).fmt
     with make_service(workload) as service:
-        result = run_loopback(
-            service, fmt, batches_of(workload), ping=False, pipelined=True
-        )
+        result = run_loopback(service, fmt, batches_of(workload), ping=False)
         assert result.final_verdict is not None
         return service.sink
 

@@ -39,7 +39,7 @@ from repro.packets.report import Report
 from repro.routing.tree import build_routing_tree
 from repro.traceback.sink import TracebackSink
 
-__all__ = ["run", "build_cluster_workload", "make_sink_factory", "main"]
+__all__ = ["run", "build_cluster_workload", "make_sink_factory"]
 
 # (grid side, packets, sources) per preset.
 _WORKLOADS = {"ci": (12, 64, 4), "quick": (20, 96, 8), "full": (20, 240, 8)}
@@ -184,9 +184,7 @@ def _time_cluster(
 
 def run(preset: Preset = QUICK) -> FigureResult:
     """Sweep shard counts over one interleaved multi-region stream."""
-    grid_side, packets, sources = _WORKLOADS.get(
-        preset.name, _WORKLOADS["quick"]
-    )
+    grid_side, packets, sources = _WORKLOADS[preset.name]
     topology, keystore, batches, source_nodes = build_cluster_workload(
         grid_side, packets, sources=sources
     )
@@ -266,12 +264,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
             "telemetry_verdict_parity": telemetry_parity,
         },
     )
-
-
-def main() -> None:
-    """Print the sweep table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

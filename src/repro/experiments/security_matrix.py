@@ -23,7 +23,7 @@ Expected shape (the paper's qualitative claims):
 from __future__ import annotations
 
 from repro.core.experiment import run_scenario
-from repro.core.scenario import Scenario
+from repro.core.scenario import ATTACK_NAMES, Scenario
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
 
@@ -33,27 +33,12 @@ __all__ = [
     "EXPECTED_DEFEATS",
     "EXPECTED_SUPPRESSED",
     "run",
-    "main",
 ]
 
 SCHEMES = ("none", "ppm", "ams", "nested", "partial-nested", "naive-pnm", "pnm")
 
-ATTACKS = (
-    "none",
-    "honest-mole",
-    "no-mark",
-    "insert-garbage",
-    "insert-frame",
-    "remove-upstream",
-    "remove-targeted",
-    "remove-all",
-    "remove-remark",
-    "reorder",
-    "alter",
-    "selective-drop",
-    "identity-swap",
-    "unprotected-alter",
-)
+#: Every attack in the scenario registry, in registry order.
+ATTACKS = ATTACK_NAMES
 
 #: Cells where the defender is EXPECTED to fail (framed): the attacks the
 #: paper documents as defeating each scheme.  Used by the test suite.
@@ -128,12 +113,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Print the experiment table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -33,7 +33,7 @@ from repro.routing.tree import build_routing_tree
 from repro.service import SinkIngestService
 from repro.traceback.sink import TracebackSink
 
-__all__ = ["run", "build_workload", "main"]
+__all__ = ["run", "build_workload"]
 
 # (grid side, packet count) per preset: the serial baseline pays a full
 # O(N) table build per distinct report, so even the CI size shows the gap.
@@ -109,7 +109,7 @@ def _time_service(
 
 def run(preset: Preset = QUICK) -> FigureResult:
     """Sweep ingest configurations and tabulate throughput and speedup."""
-    grid_side, packets = _WORKLOADS.get(preset.name, _WORKLOADS["quick"])
+    grid_side, packets = _WORKLOADS[preset.name]
     topology, keystore, stream, delivering = build_workload(grid_side, packets)
 
     serial_s, serial_sink = _time_serial(topology, keystore, stream, delivering)
@@ -155,12 +155,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Print the sweep table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -63,7 +63,7 @@ from repro.sim.tracing import PacketTracer
 from repro.traceback.sink import TracebackSink
 from repro.watchdog import DetectionProbe, WatchdogLayer
 
-__all__ = ["run", "main", "CHAIN_LENGTHS", "TARGET_MARKS", "SCENARIOS"]
+__all__ = ["run", "CHAIN_LENGTHS", "TARGET_MARKS", "SCENARIOS"]
 
 #: Forwarder counts for the paper's linear-chain (Fig. 6) deployments.
 CHAIN_LENGTHS = (10, 15)
@@ -207,7 +207,7 @@ def _run_once(
 
 def run(preset: Preset = QUICK) -> FigureResult:
     """Sweep chains, marking rates, positions, and adversary scenarios."""
-    runs, packets = _WORKLOADS.get(preset.name, _WORKLOADS["quick"])
+    runs, packets = _WORKLOADS[preset.name]
     rows = []
     all_strict = True
     wd_false_clean = True
@@ -320,12 +320,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
             }
         },
     )
-
-
-def main() -> None:
-    """Print the sweep table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

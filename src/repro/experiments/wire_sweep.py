@@ -21,9 +21,13 @@ from __future__ import annotations
 
 import time
 
-from repro.crypto.mac import HmacProvider
 from repro.experiments.presets import QUICK, Preset
-from repro.experiments.service_sweep import build_workload
+from repro.experiments.service_sweep import (
+    _make_sink,
+    _time_serial,
+    _time_service,
+    build_workload,
+)
 from repro.experiments.tables import FigureResult
 from repro.marking.pnm import PNMMarking
 from repro.packets.packet import MarkedPacket
@@ -32,38 +36,17 @@ from repro.traceback.sink import TracebackSink
 from repro.wire.loopback import run_loopback
 from repro.wire.messages import WireVerdict
 
-__all__ = ["run", "main", "measure_wire_overhead"]
+__all__ = ["run", "measure_wire_overhead"]
 
 # (grid side, packet count, batch size) per preset; batching exercises the
 # client's pipelined sends rather than one giant frame.
 _WORKLOADS = {"ci": (10, 60, 20), "quick": (12, 120, 30), "full": (16, 360, 60)}
 
 
-def _fresh_service(topology, keystore, capacity: int) -> SinkIngestService:
-    sink = TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
-    )
-    return SinkIngestService(sink, capacity=capacity)
-
-
-def _time_in_process(
-    topology, keystore, stream: list[MarkedPacket], delivering: int
-) -> tuple[float, TracebackSink]:
-    service = _fresh_service(topology, keystore, len(stream))
-    try:
-        start = time.perf_counter()
-        for packet in stream:
-            service.submit(packet, delivering)
-        service.flush()
-        return time.perf_counter() - start, service.sink
-    finally:
-        service.close(drain=False)
-
-
 def _time_loopback(
     topology, keystore, stream: list[MarkedPacket], delivering: int, batch_size: int
 ) -> tuple[float, TracebackSink, WireVerdict]:
-    service = _fresh_service(topology, keystore, len(stream))
+    service = SinkIngestService(_make_sink(topology, keystore), capacity=len(stream))
     fmt = PNMMarking(mark_prob=1.0).fmt
     batches = [
         (stream[i : i + batch_size], delivering)
@@ -71,7 +54,7 @@ def _time_loopback(
     ]
     try:
         start = time.perf_counter()
-        result = run_loopback(service, fmt, batches, ping=False, pipelined=True)
+        result = run_loopback(service, fmt, batches, ping=False)
         elapsed = time.perf_counter() - start
         return elapsed, service.sink, result.final_verdict
     finally:
@@ -81,21 +64,19 @@ def _time_loopback(
 def measure_wire_overhead(
     grid_side: int, packets: int, batch_size: int
 ) -> dict[str, float | bool]:
-    """One comparable measurement; shared with ``benchmarks/test_bench_wire``.
+    """Time one workload through the in-process service and over loopback.
 
+    The in-process path is ``service-sweep``'s cached-service timing.
     Returns in-process and loopback elapsed seconds plus a ``parity`` flag
     asserting both paths reproduced the serial sink's verdict.
     """
     topology, keystore, stream, delivering = build_workload(grid_side, packets)
-
-    reference = TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
-    )
-    for packet in stream:
-        reference.receive(packet, delivering)
+    _serial_s, reference = _time_serial(topology, keystore, stream, delivering)
     expected = reference.verdict()
 
-    inproc_s, inproc_sink = _time_in_process(topology, keystore, stream, delivering)
+    inproc_s, inproc_sink, _hot_rate = _time_service(
+        topology, keystore, stream, delivering
+    )
     wire_s, wire_sink, wire_verdict = _time_loopback(
         topology, keystore, stream, delivering, batch_size
     )
@@ -111,9 +92,7 @@ def measure_wire_overhead(
 
 def run(preset: Preset = QUICK) -> FigureResult:
     """Compare loopback-TCP and in-process ingest throughput."""
-    grid_side, packets, batch_size = _WORKLOADS.get(
-        preset.name, _WORKLOADS["quick"]
-    )
+    grid_side, packets, batch_size = _WORKLOADS[preset.name]
     measured = measure_wire_overhead(grid_side, packets, batch_size)
     inproc_s = float(measured["in_process_s"])
     wire_s = float(measured["loopback_s"])
@@ -148,12 +127,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Print the sweep table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

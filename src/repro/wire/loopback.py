@@ -16,7 +16,6 @@ from repro.packets.marks import MarkFormat
 from repro.packets.packet import MarkedPacket
 from repro.service.ingest import SinkIngestService
 from repro.wire.client import SinkClient
-from repro.wire.errors import RemoteError
 from repro.wire.messages import WireErrorInfo, WireVerdict
 from repro.wire.server import SinkServer
 
@@ -64,10 +63,11 @@ async def drive_loopback(
     fmt: MarkFormat,
     batches: list[Batch],
     ping: bool = True,
-    pipelined: bool = True,
-    retry_after_ms: int = 0,
 ) -> LoopbackResult:
     """Run the batch schedule through a fresh loopback server/client pair.
+
+    The client pipelines the schedule with
+    :meth:`SinkClient.send_batches` (all writes before any read).
 
     Args:
         service: the ingest pipeline the server feeds (caller owns its
@@ -75,36 +75,15 @@ async def drive_loopback(
         fmt: the deployment mark layout.
         batches: the send schedule.
         ping: probe the server once before sending (version handshake).
-        pipelined: use :meth:`SinkClient.send_batches` (all writes before
-            any read); sequential ping-pong otherwise.
-        retry_after_ms: server backpressure hint override (0 keeps the
-            server default).
     """
     server = SinkServer(service, fmt)
-    if retry_after_ms:
-        server.retry_after_ms = retry_after_ms
     result = LoopbackResult()
     async with server:
         client = SinkClient("127.0.0.1", server.port)
         async with client:
             if ping:
                 result.ping_echo = await client.ping()
-            if pipelined:
-                result.replies = await client.send_batches(batches, fmt)
-            else:
-                for packets, delivering_node in batches:
-                    try:
-                        result.replies.append(
-                            await client.send_batch(packets, delivering_node, fmt)
-                        )
-                    except RemoteError as exc:
-                        result.replies.append(
-                            WireErrorInfo(
-                                code=exc.error_code,
-                                retry_after_ms=exc.retry_after_ms,
-                                message=str(exc),
-                            )
-                        )
+            result.replies = await client.send_batches(batches, fmt)
         await server.wait_idle()
     result.server_stats = server.stats()
     return result
@@ -115,17 +94,6 @@ def run_loopback(
     fmt: MarkFormat,
     batches: list[Batch],
     ping: bool = True,
-    pipelined: bool = True,
-    retry_after_ms: int = 0,
 ) -> LoopbackResult:
     """Synchronous wrapper: :func:`drive_loopback` under ``asyncio.run``."""
-    return asyncio.run(
-        drive_loopback(
-            service,
-            fmt,
-            batches,
-            ping=ping,
-            pipelined=pipelined,
-            retry_after_ms=retry_after_ms,
-        )
-    )
+    return asyncio.run(drive_loopback(service, fmt, batches, ping=ping))

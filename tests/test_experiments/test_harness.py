@@ -1,8 +1,13 @@
 """Presets, tables, CLI, sink-cost experiment, and the headline claim."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro.experiments
+from repro.analysis.cost import MICA2_PACKETS_PER_SECOND
 from repro.experiments import ablations, sink_cost
 from repro.experiments.fastpath import identification_times, simulate_first_times
 from repro.experiments.presets import CI, FULL, QUICK, preset_by_name
@@ -77,14 +82,38 @@ class TestCli:
         assert main(["ablation-anonymity", "--preset", "ci"]) == 0
         assert "selective dropping" in capsys.readouterr().out.lower()
 
+    def test_every_experiment_is_registered(self):
+        # The CLI is the only way to run an experiment, so a module whose
+        # ``run`` (or an ablation) is missing from its registries would be
+        # unreachable.
+        from repro.experiments.cli import _ABLATION_RUNNERS, _SINGLE_RUNNERS
+
+        registered = set(_SINGLE_RUNNERS.values())
+        for info in pkgutil.iter_modules(repro.experiments.__path__):
+            module = importlib.import_module(f"repro.experiments.{info.name}")
+            if callable(getattr(module, "run", None)):
+                assert module.run in registered, info.name
+        ablation_fns = {getattr(ablations, name) for name in ablations.__all__}
+        assert ablation_fns == set(_ABLATION_RUNNERS.values())
+
 
 class TestSinkCost:
     def test_table_shape_and_feasibility(self):
+        # Checks what the experiment computes, not how fast this host
+        # hashes: the paper's claim at its 2.5 M hashes/s is pinned by
+        # tests/test_analysis/test_analysis.py::TestSinkCostModel.
         result = sink_cost.run(CI)
         sizes = result.column("network_size")
         assert sizes == sorted(sizes)
-        # The paper's claim on modern hardware: even 5000 nodes keep up.
-        assert all(result.column("keeps_up_with_radio"))
+        for row in result.as_dicts():
+            rate = row["model_pkts_per_s"]
+            # The cell is rounded to 0.1 pkt/s; skip a rate on the line.
+            if abs(rate - MICA2_PACKETS_PER_SECOND) > 0.05:
+                assert row["keeps_up_with_radio"] == (
+                    rate >= MICA2_PACKETS_PER_SECOND
+                )
+        rates = result.column("model_pkts_per_s")
+        assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_measured_build_time_scales(self):
         result = sink_cost.run(CI)

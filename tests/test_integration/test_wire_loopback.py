@@ -93,7 +93,7 @@ class TestVerdictParity:
         sink = make_sink(workload)
         batches = [(stream[i : i + 6], delivering) for i in range(0, PACKETS, 6)]
         with SinkIngestService(sink, capacity=len(stream)) as service:
-            result = run_loopback(service, FMT, batches, pipelined=True)
+            result = run_loopback(service, FMT, batches)
 
         verdicts = result.verdicts
         assert len(verdicts) == len(batches)
